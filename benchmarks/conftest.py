@@ -15,12 +15,16 @@ regenerated series are bit-identical to a serial run, only faster on
 multi-core machines.
 
 The regenerated rows are the actual deliverable, so :func:`emit` writes
-them both to the live terminal (bypassing pytest's capture) and to
-``benchmarks/results/<figure>.txt`` for later inspection.
+them to the live terminal (bypassing pytest's capture) and, with
+``REPRO_BENCH_RECORD=1``, to ``benchmarks/results/<figure>.txt``.  Every
+committed result file is written only under that variable (see
+:func:`write_result`), so a plain test run leaves the tree unchanged;
+the assertions run either way.
 """
 
 from __future__ import annotations
 
+import os
 import pathlib
 import re
 import sys
@@ -54,10 +58,18 @@ def emit(result: ExperimentResult) -> Dict[str, List[float]]:
     series for shape assertions."""
     text = "\n".join(result.rows())
     print(f"\n{text}", file=sys.__stdout__, flush=True)
-    RESULTS_DIR.mkdir(exist_ok=True)
     slug = re.sub(r"[^a-z0-9]+", "-", result.name.lower()).strip("-")
-    (RESULTS_DIR / f"{slug}.txt").write_text(text + "\n")
+    write_result(RESULTS_DIR / f"{slug}.txt", text + "\n")
     return result.series
+
+
+def write_result(path: pathlib.Path, text: str) -> None:
+    """Persist a committed benchmark result — only when
+    ``REPRO_BENCH_RECORD=1`` is set."""
+    if os.environ.get("REPRO_BENCH_RECORD") != "1":
+        return
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(text)
 
 
 def med(values: List[float]) -> float:

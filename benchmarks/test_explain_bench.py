@@ -10,7 +10,8 @@ trace, because ``repro explain`` runs in the inner loop of property
 debugging.
 
 Results land in the committed top-level ``BENCH_explain.json`` —
-the start of the forensics perf trajectory.  ``REPRO_EXPLAIN_SPECS``
+the start of the forensics perf trajectory — under
+``REPRO_BENCH_RECORD=1``.  ``REPRO_EXPLAIN_SPECS``
 (comma-separated) overrides the topology list; CI's smoke runs
 ``fattree:4``.
 """
@@ -24,6 +25,7 @@ import sys
 import time
 from typing import Any, Dict
 
+from conftest import write_result
 from repro.api import Bootstrap, RunPlan
 from repro.obs import Telemetry, use_telemetry
 from repro.obs.causality import ProvenanceDAG
@@ -98,6 +100,6 @@ def test_explain_analysis_cost():
         "repeats": REPEATS,
         "specs": by_spec,
     }
-    RESULT_PATH.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_result(RESULT_PATH, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     print(f"\nBENCH {json.dumps(doc, sort_keys=True)}",
           file=sys.__stdout__, flush=True)

@@ -18,8 +18,9 @@ of numbers.  (Numeric fidelity on the real CPU-bound campaigns is pinned
 by the serial-vs-fabric golden tests in ``tests/test_fabric.py``.)
 
 Results land in ``benchmarks/results/fabric-scaling.json`` (the
-committed BENCH record).  ``REPRO_FABRIC_SIZES`` (comma-separated worker
-counts) restricts the matrix — CI's fabric-smoke job runs ``1,2``.
+committed BENCH record, rewritten under ``REPRO_BENCH_RECORD=1``).
+``REPRO_FABRIC_SIZES`` (comma-separated worker counts) restricts the
+matrix — CI's fabric-smoke job runs ``1,2``.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import tempfile
 import time
 from typing import Dict, Optional
 
+from conftest import write_result
 import fabric_bench_spec  # registers the "fabric-bench" spec  # noqa: F401
 from repro.fabric import LocalFleet, run_fabric_campaign
 
@@ -80,7 +82,6 @@ def _measure(workers: int) -> Dict[str, object]:
 
 
 def _emit_json(results: Dict[str, Dict[str, object]]) -> None:
-    RESULTS_DIR.mkdir(exist_ok=True)
     payload = {
         "bench": "fabric-scaling",
         "spec": SPEC,
@@ -92,8 +93,10 @@ def _emit_json(results: Dict[str, Dict[str, object]]) -> None:
             for size, stats in results.items()
         },
     }
-    path = RESULTS_DIR / "fabric-scaling.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_result(
+        RESULTS_DIR / "fabric-scaling.json",
+        json.dumps(payload, indent=2, sort_keys=True) + "\n",
+    )
     print(f"\nBENCH {json.dumps(payload, sort_keys=True)}",
           file=sys.__stdout__, flush=True)
 

@@ -15,8 +15,9 @@ Simulation *semantics* are asserted exactly: identical convergence
 instant and metrics snapshot with and without the handle.
 
 Results land in ``benchmarks/results/obs-overhead.json`` (the committed
-BENCH record).  ``REPRO_OBS_SPEC`` overrides the topology —
-CI's obs-smoke job runs ``fattree:4``.
+BENCH record, rewritten under ``REPRO_BENCH_RECORD=1``).
+``REPRO_OBS_SPEC`` overrides the topology — CI's obs-smoke job runs
+``fattree:4``.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import sys
 import time
 from typing import Dict
 
+from conftest import write_result
 from repro.api import Bootstrap, RunPlan
 from repro.obs import Telemetry, use_telemetry
 
@@ -112,9 +114,10 @@ def test_obs_overhead_disabled_and_enabled():
         "enabled": on,
         "enabled_over_disabled": round(ratio, 3),
     }
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / "obs-overhead.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_result(
+        RESULTS_DIR / "obs-overhead.json",
+        json.dumps(payload, indent=2, sort_keys=True) + "\n",
+    )
     print(f"\nBENCH {json.dumps(payload, sort_keys=True)}", file=sys.__stdout__, flush=True)
 
     assert ratio < ENABLED_BUDGET, (

@@ -20,8 +20,9 @@ Metrics per topology:
 - ``bootstrap_wall_s`` — host wall-clock for the full bootstrap.
 
 Results land in ``benchmarks/results/probe-scaling.json`` (the committed
-BENCH record).  ``REPRO_PROBE_SIZES`` (comma-separated specs) restricts
-the matrix — CI's perf-smoke job runs ``fattree:4`` only.
+BENCH record, rewritten under ``REPRO_BENCH_RECORD=1``).
+``REPRO_PROBE_SIZES`` (comma-separated specs) restricts the matrix —
+CI's perf-smoke job runs ``fattree:4`` only.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import sys
 import time
 from typing import Dict, Optional
 
+from conftest import write_result
 from repro.net.topologies import attach_controllers
 from repro.scenarios.generators import parse_topology
 from repro.sim.network_sim import NetworkSimulation, SimulationConfig
@@ -91,7 +93,6 @@ def _measure(spec: str, incremental: bool, timeout: float = 600.0) -> Dict[str, 
 
 
 def _emit_json(results: Dict[str, Dict[str, Optional[Dict[str, float]]]]) -> None:
-    RESULTS_DIR.mkdir(exist_ok=True)
     payload = {
         "bench": "probe-scaling",
         "seed": 0,
@@ -99,8 +100,10 @@ def _emit_json(results: Dict[str, Dict[str, Optional[Dict[str, float]]]]) -> Non
         "theta": 10,
         "specs": results,
     }
-    path = RESULTS_DIR / "probe-scaling.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_result(
+        RESULTS_DIR / "probe-scaling.json",
+        json.dumps(payload, indent=2, sort_keys=True) + "\n",
+    )
     print(f"\nBENCH {json.dumps(payload, sort_keys=True)}", file=sys.__stdout__, flush=True)
 
 

@@ -12,6 +12,7 @@ import pathlib
 import sys
 import time
 
+from conftest import write_result
 from repro.exp.runner import run_spec
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
@@ -39,8 +40,7 @@ def test_store_warm_vs_cold(tmp_path, benchmark):
     ]
     text = "\n".join(lines)
     print(f"\n{text}", file=sys.__stdout__, flush=True)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "store-warm-vs-cold.txt").write_text(text + "\n")
+    write_result(RESULTS_DIR / "store-warm-vs-cold.txt", text + "\n")
 
     assert cold.cache_stats == {"hit": 0, "derived": 0, "simulated": 6}
     assert warm.cache_stats == {"hit": 6, "derived": 0, "simulated": 0}

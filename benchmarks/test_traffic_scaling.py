@@ -13,9 +13,9 @@ pins the acceptance numbers:
   live engine.
 
 Results land in ``benchmarks/results/traffic-scaling.json`` (the
-committed BENCH record).  ``REPRO_TRAFFIC_SIZES`` (comma-separated flow
-counts) restricts the matrix — CI's traffic-smoke job runs ``100000``
-only.
+committed BENCH record, rewritten under ``REPRO_BENCH_RECORD=1``).
+``REPRO_TRAFFIC_SIZES`` (comma-separated flow counts) restricts the
+matrix — CI's traffic-smoke job runs ``100000`` only.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
+from conftest import write_result
 from repro.traffic.spec import run_traffic
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
@@ -106,7 +107,6 @@ def _measure_reconvergence(flows: int) -> Dict[str, float]:
 
 
 def _emit_json(results: Dict[str, Dict[str, object]]) -> None:
-    RESULTS_DIR.mkdir(exist_ok=True)
     payload = {
         "bench": "traffic-scaling",
         "topology": TOPOLOGY,
@@ -115,8 +115,10 @@ def _emit_json(results: Dict[str, Dict[str, object]]) -> None:
         "campaign": "churn",
         "sizes": results,
     }
-    path = RESULTS_DIR / "traffic-scaling.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_result(
+        RESULTS_DIR / "traffic-scaling.json",
+        json.dumps(payload, indent=2, sort_keys=True) + "\n",
+    )
     print(f"\nBENCH {json.dumps(payload, sort_keys=True)}",
           file=sys.__stdout__, flush=True)
 

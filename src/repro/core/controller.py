@@ -273,7 +273,6 @@ class RenaissanceController:
         for reply in self.replydb.res(refer_tag):
             if reply.kind != "switch":
                 continue
-            rule_owners = {r.cid for r in reply.rules}
             # Stale-state removal.  We follow Algorithm 1's semantics
             # (lines 9-11) and the prose of Section 4.1.2: on a new round,
             # remove any manager or rule owner that was not discovered
@@ -303,7 +302,7 @@ class RenaissanceController:
                 )
                 rule_dels = sorted(
                     owner
-                    for owner in rule_owners
+                    for owner in {r.cid for r in reply.rules}
                     if owner != self.cid and owner not in reachable_prev
                 )
             new_rules = self._rules_to_install(refer_view, reply)

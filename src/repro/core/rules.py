@@ -6,17 +6,18 @@ the controller to every reachable node and materializes them as per-switch
 :class:`~repro.switch.flow_table.Rule` sets, tagged with the current
 synchronization round.
 
-The computation is cached per (view signature, tag): Algorithm 2 refreshes
-rules on *every* iteration of the do-forever loop, but the underlying flows
-change only when the discovered topology or the round changes.
+The computation is cached per view signature: Algorithm 2 refreshes rules
+on *every* iteration of the do-forever loop, but the underlying flows
+change only when the discovered topology changes.  A new round's tag on an
+unchanged view only re-tags the cached rules; no route is re-planned.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.net.topology import Topology, NodeKind
-from repro.flows.failover import plan_flow_rules, HopRule
+from repro.flows.failover import PathSearch, plan_flow_rules, HopRule
 from repro.switch.flow_table import Rule
 from repro.switch.commands import QueryReply
 from repro.core.tags import Tag
@@ -75,58 +76,60 @@ class RuleGenerator:
         self.owner = owner
         self.kappa = kappa
         self._cache_key: Optional[Tuple] = None
+        self._cache_tag: Optional[Tag] = None
         self._cache: Dict[str, List[Rule]] = {}
-        self.computations = 0
+        self.computations = 0  # full route plans; re-tags do not count
 
     def rules_for_view(self, view: Topology, tag: Tag) -> Dict[str, List[Rule]]:
         """Per-switch rules realizing κ-fault-resilient flows from the owner
-        to every node reachable in ``view``, tagged ``tag``."""
-        key = (_view_signature(view), tag)
+        to every node reachable in ``view``, tagged ``tag``.  Deduplicated
+        per switch: two flows may share a hop with the same (match,
+        priority, action); the last one planned wins, in the position of
+        the first."""
+        key = _view_signature(view)
         if key == self._cache_key:
+            if tag != self._cache_tag:
+                self._cache = {
+                    sid: [_tagged(r.cid, r.sid, r, tag) for r in rules]
+                    for sid, rules in self._cache.items()
+                }
+                self._cache_tag = tag
             return self._cache
         self.computations += 1
-        per_switch: Dict[str, List[Rule]] = {}
+        per_switch: Dict[str, Dict[Tuple, Rule]] = {}
         if self.owner in view:
-            reachable = view.bfs_layers(self.owner)
-            for target in sorted(reachable):
+            switches = set(view.switches)
+            search = PathSearch(view)
+            for target in sorted(view.bfs_layers(self.owner)):
                 if target == self.owner:
                     continue
-                for hop_rule in plan_flow_rules(view, self.owner, target, self.kappa):
-                    if not view.is_switch(hop_rule.switch):
+                for hop in plan_flow_rules(view, self.owner, target, self.kappa, search):
+                    if hop.switch not in switches:
                         continue  # controllers do not hold forwarding rules
-                    per_switch.setdefault(hop_rule.switch, []).append(
-                        self._materialize(hop_rule, tag)
-                    )
+                    rule = _tagged(self.owner, hop.switch, hop, tag)
+                    per_switch.setdefault(hop.switch, {})[rule.key()] = rule
         self._cache_key = key
-        self._cache = per_switch
-        return per_switch
+        self._cache_tag = tag
+        self._cache = {sid: list(rules.values()) for sid, rules in per_switch.items()}
+        return self._cache
 
     def my_rules(self, view: Topology, switch: str, tag: Tag) -> List[Rule]:
         """The paper's ``myRules(G, j, tag)``: the owner's rules at one
-        switch.  Deduplicated: two flows may share a hop with the same
-        (match, priority, action)."""
-        rules = self.rules_for_view(view, tag).get(switch, [])
-        unique: Dict[Tuple, Rule] = {}
-        for rule in rules:
-            unique[rule.key()] = rule
-        return list(unique.values())
-
-    def _materialize(self, hop_rule: HopRule, tag: Tag) -> Rule:
-        return Rule(
-            cid=self.owner,
-            sid=hop_rule.switch,
-            src=hop_rule.src,
-            dst=hop_rule.dst,
-            priority=hop_rule.priority,
-            forward_to=hop_rule.forward_to,
-            tag=tag,
-            detour=hop_rule.detour,
-            detour_start=hop_rule.detour_start,
-        )
+        switch."""
+        return list(self.rules_for_view(view, tag).get(switch, ()))
 
     def invalidate(self) -> None:
         self._cache_key = None
+        self._cache_tag = None
         self._cache = {}
+
+
+def _tagged(cid: str, sid: str, hop: Union[HopRule, Rule], tag: Tag) -> Rule:
+    """``hop``'s match and action as a rule of ``cid`` at ``sid``."""
+    return Rule(
+        cid, sid, hop.src, hop.dst, hop.priority, hop.forward_to, tag, hop.detour,
+        hop.detour_start,
+    )
 
 
 __all__ = ["build_view", "RuleGenerator"]

@@ -30,9 +30,9 @@ exchange the paper's flow definition requires.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Tuple
 
-from repro.net.topology import Topology, NodeId, EdgeId, edge, _bits
+from repro.net.topology import Topology, NodeId
 
 #: Priority of primary-path rules; detours descend from it.  Far above the
 #: meta-rule's priority 0, leaving room for diameter-many detour levels.
@@ -59,137 +59,151 @@ class HopRule:
     detour_start: bool = False
 
 
-def _directed_rules(
-    view: Topology, src: NodeId, dst: NodeId, kappa: int
+class PathSearch:
+    """First-shortest-path searches on one view snapshot.
+
+    A search ``(start, blocked, avoid)`` is a BFS from ``start`` that never
+    crosses the edge ``(start, blocked)`` nor enters the ``avoid`` bitmask;
+    its paths are the first shortest ones whose *interior* nodes are
+    switches (controllers never relay, Section 2), expanding the frontier
+    in discovery order and neighbours in ascending (= sorted-name) order.
+    A search expands whole layers only until the requested destination
+    has a parent and resumes from there for the next one; parents never
+    change, so every path equals a fresh search's.  Searches live as long
+    as this object: shared across flows, all primaries from one source come
+    from one tree and each per-edge detour search serves every target
+    below that edge.
+    """
+
+    __slots__ = ("names", "idx", "switch_mask", "_adj", "_memo")
+
+    def __init__(self, view: Topology) -> None:
+        index = view.index()
+        self.names = index.names
+        self.idx = index.idx
+        self.switch_mask = index.switch_mask
+        self._adj = index.adj_masks
+        self._memo: Dict[Tuple[int, int, int], list] = {}
+
+    def path(
+        self, start: int, dst: int, blocked: int = -1, avoid: int = 0
+    ) -> Optional[List[int]]:
+        """Node indices of the first shortest ``start → dst`` path, or None."""
+        if (avoid >> start) & 1 or (avoid >> dst) & 1:
+            return None
+        if start == dst:
+            return [start]
+        key = (start, blocked, avoid)
+        state = self._memo.get(key)
+        if state is None:
+            parent = [-1] * len(self._adj)
+            parent[start] = start
+            state = self._memo[key] = [parent, (1 << start) | avoid, [start]]
+        parent, seen, frontier = state
+        if parent[dst] < 0 and frontier:
+            adj = self._adj
+            # Only switches relay; the start node forwards its own packets.
+            relay = self.switch_mask | (1 << start)
+            unblock = ~(1 << blocked) if blocked >= 0 else -1
+            while frontier:
+                layer: List[int] = []
+                for u in frontier:
+                    if not (relay >> u) & 1:
+                        continue
+                    mask = adj[u] & ~seen
+                    if u == start:
+                        mask &= unblock
+                    seen |= mask
+                    while mask:
+                        low = mask & -mask
+                        v = low.bit_length() - 1
+                        parent[v] = u
+                        layer.append(v)
+                        mask ^= low
+                frontier = layer
+                if parent[dst] >= 0:
+                    break
+            state[1] = seen
+            state[2] = frontier
+        if parent[dst] < 0:
+            return None
+        path = [dst]
+        while dst != start:
+            dst = parent[dst]
+            path.append(dst)
+        path.reverse()
+        return path
+
+
+def directed_rules(
+    view: Topology,
+    src: NodeId,
+    dst: NodeId,
+    kappa: int,
+    search: Optional[PathSearch] = None,
 ) -> List[HopRule]:
-    """Primary + per-edge detour rules for packets ``src → dst``."""
-    primary = _bfs_avoiding(view, src, dst, set(), set())
+    """Primary + per-edge detour rules for packets ``src → dst``.
+
+    ``search`` shares path searches across calls on the same ``view``;
+    without one, the call's searches are dropped when it returns."""
+    if search is None:
+        search = PathSearch(view)
+    names = search.names
+    s, d = search.idx[src], search.idx[dst]
+    primary = search.path(s, d)
     if primary is None:
         return []
-    rules: List[HopRule] = []
-    for hop, nxt in zip(primary, primary[1:]):
-        rules.append(
-            HopRule(switch=hop, src=src, dst=dst, forward_to=nxt, priority=PRIMARY_PRIORITY)
-        )
+    rules = [
+        HopRule(names[hop], src, dst, names[nxt], PRIMARY_PRIORITY)
+        for hop, nxt in zip(primary, primary[1:])
+    ]
     if kappa < 1:
         return rules
 
-    for idx in range(len(primary) - 1):
-        x, y = primary[idx], primary[idx + 1]
-        failed = {edge(x, y)}
-        prefix = set(primary[:idx])  # strictly before the detecting node
-        detour = _detour_path(view, x, dst, failed, prefix)
+    prefix = 0  # nodes strictly before the detecting node
+    for i in range(len(primary) - 1):
+        if i:
+            prefix |= 1 << primary[i - 1]
+        x, y = primary[i], primary[i + 1]
+        # Shortest detour avoiding the failed edge, preferring one that
+        # also avoids the primary prefix (hijack-free); falls back to
+        # edge-avoidance only.
+        detour = search.path(x, d, y, prefix)
+        if detour is None and prefix:
+            detour = search.path(x, d, y)
         if detour is None:
             continue
-        priority = PRIMARY_PRIORITY - 1 - idx
+        priority = PRIMARY_PRIORITY - 1 - i
         if priority <= 0:
             break
         # The stamping point is the first *switch* of the detour: when the
         # detour starts at the (non-forwarding) source controller, packets
         # are stamped at the first switch they reach instead.
-        start_hop = detour[0] if view.is_switch(detour[0]) else (
+        start_hop = detour[0] if (search.switch_mask >> detour[0]) & 1 else (
             detour[1] if len(detour) > 1 else detour[0]
         )
-        for hop, nxt in zip(detour, detour[1:]):
-            rules.append(
-                HopRule(
-                    switch=hop,
-                    src=src,
-                    dst=dst,
-                    forward_to=nxt,
-                    priority=priority,
-                    detour=idx,
-                    detour_start=(hop == start_hop),
-                )
-            )
+        rules.extend(
+            HopRule(names[hop], src, dst, names[nxt], priority, i, hop == start_hop)
+            for hop, nxt in zip(detour, detour[1:])
+        )
     return rules
 
 
-def _detour_path(
-    view: Topology,
-    start: NodeId,
-    dst: NodeId,
-    failed_edges: Set[EdgeId],
-    avoid_nodes: Set[NodeId],
-) -> Optional[List[NodeId]]:
-    """Shortest start→dst path avoiding the failed edge(s), preferring one
-    that also avoids the primary prefix (hijack-free); falls back to
-    edge-avoidance only."""
-    strict = _bfs_avoiding(view, start, dst, failed_edges, avoid_nodes)
-    if strict is not None:
-        return strict
-    return _bfs_avoiding(view, start, dst, failed_edges, set())
-
-
-def _bfs_avoiding(
-    view: Topology,
-    start: NodeId,
-    dst: NodeId,
-    failed_edges: Set[EdgeId],
-    avoid_nodes: Set[NodeId],
-) -> Optional[List[NodeId]]:
-    """First shortest start→dst path whose *interior* nodes are switches —
-    controllers only forward to/from themselves, never relay (Section 2:
-    switches are the packet-forwarding elements).
-
-    Runs on the view's interned bitmask adjacency: the rule planner calls
-    this for every primary path *and* every per-edge detour of every flow,
-    which makes it the single hottest loop of a bootstrap.  Frontier nodes
-    are expanded in discovery order and neighbours visited in ascending
-    index (= sorted-name) order, reproducing the legacy FIFO/sorted BFS
-    parent assignments exactly.
-    """
-    if start in avoid_nodes or dst in avoid_nodes:
-        return None
-    index = view.index()
-    idx = index.idx
-    names = index.names
-    adj_masks = index.adj_masks
-    src_i, dst_i = idx[start], idx[dst]
-    if src_i == dst_i:
-        return [start]
-    avoid_mask = 0
-    for node in avoid_nodes:
-        i = idx.get(node)
-        if i is not None:
-            avoid_mask |= 1 << i
-    excluded = Topology._excluded_masks(index, failed_edges)
-    # Only switches relay; the start node forwards its own packets.
-    relay_mask = index.switch_mask | (1 << src_i)
-    parent: Dict[int, int] = {src_i: src_i}
-    seen = (1 << src_i) | avoid_mask
-    frontier = [src_i]
-    found = False
-    while frontier and not found:
-        next_frontier: List[int] = []
-        for u in frontier:
-            if not (relay_mask >> u) & 1:
-                continue
-            mask = adj_masks[u] & ~seen
-            if excluded is not None and u in excluded:
-                mask &= ~excluded[u]
-            for v in _bits(mask):
-                seen |= 1 << v
-                parent[v] = u
-                next_frontier.append(v)
-                if v == dst_i:
-                    found = True
-        frontier = next_frontier
-    if dst_i not in parent:
-        return None
-    path_i = [dst_i]
-    while path_i[-1] != src_i:
-        path_i.append(parent[path_i[-1]])
-    path_i.reverse()
-    return [names[i] for i in path_i]
-
-
 def plan_flow_rules(
-    view: Topology, source: NodeId, target: NodeId, kappa: int
+    view: Topology,
+    source: NodeId,
+    target: NodeId,
+    kappa: int,
+    search: Optional[PathSearch] = None,
 ) -> List[HopRule]:
-    """Bidirectional κ-fault-resilient rule plan between two endpoints."""
-    forward = _directed_rules(view, source, target, kappa)
-    backward = _directed_rules(view, target, source, kappa)
+    """Bidirectional κ-fault-resilient rule plan between two endpoints.
+
+    ``search`` (on ``view``) is shared by the ``source → target``
+    direction only: planning from one source to many targets reuses its
+    searches, while the ``target → source`` searches start at a different
+    node for every target and are never reused."""
+    forward = directed_rules(view, source, target, kappa, search)
+    backward = directed_rules(view, target, source, kappa)
     return forward + backward
 
 
@@ -200,4 +214,7 @@ def rules_by_switch(rules: List[HopRule]) -> Dict[NodeId, List[HopRule]]:
     return grouped
 
 
-__all__ = ["HopRule", "PRIMARY_PRIORITY", "plan_flow_rules", "rules_by_switch"]
+__all__ = [
+    "HopRule", "PRIMARY_PRIORITY", "PathSearch", "directed_rules", "plan_flow_rules",
+    "rules_by_switch",
+]

@@ -73,6 +73,14 @@ class Rule:
         return (self.cid, self.src, self.dst, self.priority, self.forward_to, self.detour)
 
 
+def _count(counts: Dict[str, int], cid: str, delta: int) -> None:
+    count = counts.get(cid, 0) + delta
+    if count > 0:
+        counts[cid] = count
+    else:
+        counts.pop(cid, None)
+
+
 class FlowTable:
     """Rule storage for one switch, bounded by ``max_rules``."""
 
@@ -104,12 +112,16 @@ class FlowTable:
             Callable[[str, Tuple[Tuple[str, str, int], ...]], None]
         ] = []
         # Memo of matching() results per header, dropped per key on any
-        # install/delete touching that header (even tag-only refreshes,
-        # which swap the Rule object without bumping version).
+        # insert/delete touching that header and on refreshes that change a
+        # tag (no version bump) or the header's tie order; only an
+        # idempotent refresh keeps it.
         self._match_cache: Dict[Tuple[str, str], List[Rule]] = {}
-        # Rules per owning controller, so controllers_present() is O(#cids)
-        # instead of a full-table scan on every no_stale_rules probe.
+        # Rules (and meta-rules) per owning controller, so
+        # controllers_present() is O(#cids) instead of a full-table scan on
+        # every no_stale_rules probe, and replace_rules_of() can tell
+        # without a scan that none of the owner's rules is stale.
         self._owner_counts: Dict[str, int] = {}
+        self._meta_counts: Dict[str, int] = {}
 
     def add_version_listener(
         self, listener: Callable[[str, Tuple[Tuple[str, str, int], ...]], None]
@@ -159,11 +171,9 @@ class FlowTable:
         del self._touched[key]
         self._index_remove(key, rule)
         self._match_cache.pop((rule.src, rule.dst), None)
-        count = self._owner_counts.get(rule.cid, 0) - 1
-        if count > 0:
-            self._owner_counts[rule.cid] = count
-        else:
-            self._owner_counts.pop(rule.cid, None)
+        _count(self._owner_counts, rule.cid, -1)
+        if rule.is_meta:
+            _count(self._meta_counts, rule.cid, -1)
         self._bump_version(((rule.src, rule.dst, _event_kind(rule)),))
 
     def __len__(self) -> int:
@@ -184,27 +194,43 @@ class FlowTable:
         """Insert or refresh one rule, evicting if the table is clogged."""
         if rule.sid != self.sid:
             raise ValueError(f"rule for switch {rule.sid} offered to {self.sid}")
-        key = rule.key()
+        self._install(rule.key(), rule)
+
+    def _install(self, key: Tuple, rule: Rule) -> None:
         prior = self._rules.get(key)
         if prior is None and len(self._rules) >= self.max_rules:
             self._evict_one()
-        if prior is not None:
-            self._index_remove(key, prior)
-        self._rules[key] = rule
         self._touched[key] = next(self._clock)
-        self._index_add(key, rule)
-        self._match_cache.pop((rule.src, rule.dst), None)
+        self._rules[key] = rule
+        header = (rule.src, rule.dst)
         if prior is None:
-            self._owner_counts[rule.cid] = self._owner_counts.get(rule.cid, 0) + 1
-        # The key carries every forwarding-relevant field except
-        # ``detour_start``; a same-key refresh differing only in tag (the
-        # newRound meta-rule rotation) leaves forwarding untouched.
-        if prior is None or prior.detour_start != rule.detour_start:
-            # A detour_start flip is both a removal and an addition; publish
-            # the stronger (lower) of the two kinds.
-            kind = _event_kind(rule)
-            if prior is not None:
-                kind = min(kind, _event_kind(prior))
+            self._index_add(key, rule)
+            self._match_cache.pop(header, None)
+            _count(self._owner_counts, rule.cid, 1)
+            if rule.is_meta:
+                _count(self._meta_counts, rule.cid, 1)
+            self._bump_version(((rule.src, rule.dst, _event_kind(rule)),))
+            return
+        # A refresh also moves the key to the back of its match bucket:
+        # matching() orders equal-priority rules least recently updated
+        # first.  The key carries every field but the tag and detour_start,
+        # so a refresh equal in both keeps the match memo.
+        stale = prior is not rule and (
+            prior.tag != rule.tag or prior.detour_start != rule.detour_start
+        )
+        if not rule.is_meta:
+            bucket = self._by_match[header]
+            if bucket[-1] != key:
+                bucket.remove(key)
+                bucket.append(key)
+                stale = True
+        if stale:
+            self._match_cache.pop(header, None)
+        # A tag-only change (the newRound meta-rule rotation) leaves
+        # forwarding untouched.  A detour_start flip is both a removal and
+        # an addition; publish the stronger (lower) of the two kinds.
+        if prior.detour_start != rule.detour_start:
+            kind = min(_event_kind(rule), _event_kind(prior))
             self._bump_version(((rule.src, rule.dst, kind),))
 
     def _evict_one(self) -> None:
@@ -221,18 +247,27 @@ class FlowTable:
         update does not invalidate route caches.
         """
         incoming = list(new_rules)
+        keys = []
         for rule in incoming:
             if rule.cid != cid:
                 raise ValueError(f"rule owned by {rule.cid} in update for {cid}")
-        keep = {rule.key() for rule in incoming}
-        for key in [
-            k
-            for k, r in self._rules.items()
-            if r.cid == cid and not r.is_meta and k not in keep
-        ]:
-            self._delete_key(key)
-        for rule in incoming:
-            self.install(rule)
+            if rule.sid != self.sid:
+                raise ValueError(f"rule for switch {rule.sid} offered to {self.sid}")
+            keys.append(rule.key())
+        keep = set(keys)
+        rules = self._rules
+        # Scan for stale rules only if the owner holds non-meta rules
+        # beyond those kept.
+        kept = sum(1 for key in keep if key in rules and not rules[key].is_meta)
+        if self._owner_counts.get(cid, 0) - self._meta_counts.get(cid, 0) > kept:
+            for key in [
+                k
+                for k, r in rules.items()
+                if r.cid == cid and not r.is_meta and k not in keep
+            ]:
+                self._delete_key(key)
+        for key, rule in zip(keys, incoming):
+            self._install(key, rule)
 
     def delete_rules_of(self, cid: str, include_meta: bool = True) -> int:
         """The ``delAllRules`` command.  Returns the number removed."""
@@ -257,6 +292,7 @@ class FlowTable:
         self._by_match.clear()
         self._match_cache.clear()
         self._owner_counts.clear()
+        self._meta_counts.clear()
         self._bump_version(tuple((s, d, k) for (s, d), k in kinds.items()))
 
     # -- lookup ---------------------------------------------------------------

@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.flows.failover import PRIMARY_PRIORITY, _directed_rules
+from repro.flows.failover import PRIMARY_PRIORITY, directed_rules
 from repro.net.topology import NodeId, Topology
 from repro.switch.abstract_switch import AbstractSwitch
 from repro.switch.flow_table import Rule
@@ -181,7 +181,7 @@ class TenantFlows:
         for src, dst in self.pairs:
             owner = src  # reachable-node ownership; see module docstring
             seen_keys: Set[tuple] = set()
-            for hop_rule in _directed_rules(view, src, dst, self.kappa):
+            for hop_rule in directed_rules(view, src, dst, self.kappa):
                 rule = Rule(
                     cid=owner,
                     sid=hop_rule.switch,

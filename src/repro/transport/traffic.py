@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.net.topology import Topology
-from repro.flows.failover import plan_flow_rules
+from repro.flows.failover import directed_rules
 from repro.switch.abstract_switch import AbstractSwitch
 from repro.switch.flow_table import Rule
 from repro.core.legitimacy import forwarding_path
@@ -105,7 +105,10 @@ class FlowMaintainer:
         to the live ground truth, i.e. a converged control plane's view).
         Returns the number of rules installed."""
         graph = view or self._live_view()
-        plan = plan_flow_rules(graph, self.pair.a, self.pair.b, self.kappa)
+        a, b = self.pair.a, self.pair.b
+        plan = directed_rules(graph, a, b, self.kappa) + directed_rules(
+            graph, b, a, self.kappa
+        )
         per_switch: Dict[str, List[Rule]] = {}
         for hop_rule in plan:
             if hop_rule.switch not in self.switches:

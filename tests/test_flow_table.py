@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.switch.flow_table import FlowTable, Rule, META_PRIORITY
+from repro.switch.flow_table import FlowTable, Rule, META_PRIORITY, _event_kind
 
 
 def rule(cid="c0", sid="s0", src="c0", dst="s9", prt=5, fwd="s1", tag=None, **kw):
@@ -160,3 +160,168 @@ def test_corrupt_with_respects_bound():
     table = FlowTable("s0", max_rules=3)
     table.corrupt_with([rule(dst=f"d{i}") for i in range(10)])
     assert len(table) <= 3
+
+
+# -- idempotent refresh fast path ------------------------------------------------
+
+
+def test_idempotent_refreshes_keep_lru_victim():
+    table = FlowTable("s0", max_rules=3)
+    a, b, c = (rule(dst=d, fwd="x") for d in ("d1", "d2", "d3"))
+    for r in (a, b, c):
+        table.install(r)
+    table.install(a)  # same object
+    table.install(rule(dst="d2", fwd="x"))  # equal, distinct object
+    table.install(a)
+    table.install(rule(dst="d4", fwd="x"))  # overflow
+    assert {r.dst for r in table.rules()} == {"d1", "d2", "d4"}  # d3 was stalest
+    assert table.evictions == 1
+
+
+def test_idempotent_refresh_is_silent():
+    table = FlowTable("s0", max_rules=10)
+    events = []
+    table.add_version_listener(lambda sid, evs: events.append(evs))
+    table.install(rule(dst="d1"))
+    table.install(meta())
+    version, seen = table.version, len(events)
+    table.install(rule(dst="d1"))
+    table.install(meta())
+    table.replace_rules_of("c0", [rule(dst="d1")])
+    assert table.version == version
+    assert len(events) == seen
+    # A tag-only change is not forwarding-relevant either, but is stored.
+    table.install(rule(dst="d1", tag="t2"))
+    assert table.version == version
+    assert table.rules_of("c0")[0].tag == "t2"
+
+
+def test_stale_rules_deleted_despite_meta_rule():
+    table = FlowTable("s0", max_rules=10)
+    table.install(meta())
+    table.replace_rules_of("c0", [rule(dst="d1"), rule(dst="d2")])
+    table.replace_rules_of("c0", [rule(dst="d1")])
+    assert sorted(r.dst for r in table.rules_of("c0") if not r.is_meta) == ["d1"]
+    assert sum(r.is_meta for r in table.rules()) == 1
+
+
+def test_stale_rules_deleted_after_corruption():
+    table = FlowTable("s0", max_rules=10)
+    table.install(meta())
+    table.replace_rules_of("c0", [rule(dst="d1")])
+    # Planted rules claiming c0's ownership, one of them a second meta-rule.
+    planted_meta = rule(src="x", dst="y", prt=META_PRIORITY, fwd=None, tag="bogus")
+    table.corrupt_with([rule(dst="d7"), rule(dst="d8", prt=2), planted_meta])
+    table.replace_rules_of("c0", [rule(dst="d1")])
+    assert [r.dst for r in table.rules_of("c0") if not r.is_meta] == ["d1"]
+    assert sum(r.is_meta for r in table.rules_of("c0")) == 2  # newRound's concern
+
+
+def test_matching_tie_order_follows_latest_refresh():
+    """Two rules tying on (priority, cid, forward_to) are matched least
+    recently updated first; an idempotent refresh counts as an update."""
+    table = FlowTable("s0", max_rules=10)
+    first = rule(prt=7, fwd="a", detour=1, detour_start=True)
+    second = rule(prt=7, fwd="a", detour=2, detour_start=True)
+    table.install(first)
+    table.install(second)
+    assert [r.detour for r in table.matching("c0", "s9")] == [1, 2]
+    table.install(first)
+    assert [r.detour for r in table.matching("c0", "s9")] == [2, 1]
+    table.replace_rules_of("c0", [second, first, second])
+    assert [r.detour for r in table.matching("c0", "s9")] == [1, 2]
+
+
+class _ReferenceTable(FlowTable):
+    """The table without its fast paths: every install re-indexes, every
+    update scans the whole table for stale rules."""
+
+    def install(self, rule):
+        key = rule.key()
+        prior = self._rules.get(key)
+        if prior is None and len(self._rules) >= self.max_rules:
+            self._evict_one()
+        if prior is not None:
+            self._index_remove(key, prior)
+        self._rules[key] = rule
+        self._touched[key] = next(self._clock)
+        self._index_add(key, rule)
+        self._match_cache.pop((rule.src, rule.dst), None)
+        if prior is None:
+            self._owner_counts[rule.cid] = self._owner_counts.get(rule.cid, 0) + 1
+            if rule.is_meta:
+                self._meta_counts[rule.cid] = self._meta_counts.get(rule.cid, 0) + 1
+        if prior is None or prior.detour_start != rule.detour_start:
+            kind = _event_kind(rule)
+            if prior is not None:
+                kind = min(kind, _event_kind(prior))
+            self._bump_version(((rule.src, rule.dst, kind),))
+
+    def replace_rules_of(self, cid, new_rules):
+        incoming = list(new_rules)
+        keep = {r.key() for r in incoming}
+        for key in [
+            k
+            for k, r in self._rules.items()
+            if r.cid == cid and not r.is_meta and k not in keep
+        ]:
+            self._delete_key(key)
+        for r in incoming:
+            self.install(r)
+
+
+def _random_rule(rng, cid=None):
+    return Rule(
+        cid=cid or rng.choice(["c0", "c1"]),
+        sid="s0",
+        src=rng.choice(["c0", "c1"]),
+        dst=rng.choice(["d1", "d2"]),
+        priority=rng.choice([META_PRIORITY, 5, 7]),
+        forward_to=rng.choice([None, "a", "b"]),
+        tag=rng.choice(["t1", "t2"]),
+        detour=rng.choice([None, 1, 2]),
+        detour_start=rng.random() < 0.5,
+    )
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_fast_paths_match_reference_table(seed):
+    import random
+
+    rng = random.Random(seed)
+    tables = [FlowTable("s0", max_rules=8), _ReferenceTable("s0", max_rules=8)]
+    logs = [[], []]
+    for table, log in zip(tables, logs):
+        table.add_version_listener(lambda sid, evs, log=log: log.append(evs))
+    pool = [_random_rule(rng) for _ in range(12)]
+    for _ in range(300):
+        op = rng.random()
+        if op < 0.45:
+            chosen = rng.choice(pool)
+            for table in tables:
+                table.install(chosen)
+        elif op < 0.85:
+            cid = rng.choice(["c0", "c1"])
+            batch = [r for r in pool if r.cid == cid and rng.random() < 0.5]
+            for table in tables:
+                table.replace_rules_of(cid, batch)
+        elif op < 0.95:
+            planted = [_random_rule(rng) for _ in range(2)]
+            for table in tables:
+                table.corrupt_with(planted)
+        else:
+            cid = rng.choice(["c0", "c1"])
+            include_meta = rng.random() < 0.5
+            for table in tables:
+                table.delete_rules_of(cid, include_meta=include_meta)
+        fast, ref = tables
+        assert fast.rules() == ref.rules()
+        assert fast.version == ref.version and fast.evictions == ref.evictions
+        assert logs[0] == logs[1]
+        assert fast.controllers_present() == ref.controllers_present()
+        for src in ("c0", "c1"):
+            for dst in ("d1", "d2"):
+                assert fast.matching(src, dst) == ref.matching(src, dst)
+                assert [r.tag for r in fast.matching(src, dst)] == [
+                    r.tag for r in ref.matching(src, dst)
+                ]

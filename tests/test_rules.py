@@ -60,13 +60,31 @@ def test_rules_for_view_covers_reachable_targets():
 
 
 def test_rules_cached_per_view_and_tag():
+    """The plan is cached per view; a new round's tag on the same view
+    re-tags the cached rules without re-planning any route."""
     view = build_view("c0", ["s1"], [reply("s1", ["c0", "s2"]), reply("s2", ["s1"])])
     gen = RuleGenerator("c0", kappa=0)
-    gen.rules_for_view(view, T)
-    gen.rules_for_view(view, T)
+    first = gen.rules_for_view(view, T)
+    assert gen.rules_for_view(view, T) is first
     assert gen.computations == 1
-    gen.rules_for_view(view, T2)  # new round: recompute
+    retagged = gen.rules_for_view(view, T2)  # new round, same view
+    assert gen.computations == 1
+    assert {sid: [r.key() for r in rules] for sid, rules in retagged.items()} == {
+        sid: [r.key() for r in rules] for sid, rules in first.items()
+    }
+    assert all(r.tag == T2 for rules in retagged.values() for r in rules)
+    assert all(r.tag == T for rules in first.values() for r in rules)
+    assert all(r.tag == T2 for r in gen.my_rules(view, "s1", T2))
+    # A changed view still recomputes, tagged with the current round.
+    grown = build_view(
+        "c0",
+        ["s1"],
+        [reply("s1", ["c0", "s2"]), reply("s2", ["s1", "s3"]), reply("s3", ["s2"])],
+    )
+    regrown = gen.rules_for_view(grown, T2)
     assert gen.computations == 2
+    assert "s3" in {r.dst for rules in regrown.values() for r in rules}
+    assert all(r.tag == T2 for rules in regrown.values() for r in rules)
 
 
 def test_cache_invalidated_on_view_change():
