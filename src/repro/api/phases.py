@@ -35,14 +35,14 @@ def describe_fault_plan(plan: FaultPlan) -> list:
 
     Targets may carry non-JSON leaves (corruption payloads embed ``Rule``
     objects); those are folded in by ``repr`` — deterministic for the
-    frozen dataclasses involved — so two plans hash equal iff their
-    schedules are identical.
+    immutable values involved — so two plans hash equal iff their
+    schedules are identical.  ``Rule`` is a named tuple but folds whole.
     """
 
     def leaf(value: object):
         if isinstance(value, (str, int, float, bool)) or value is None:
             return value
-        if isinstance(value, (list, tuple)):
+        if type(value) in (list, tuple):
             return [leaf(v) for v in value]
         return repr(value)
 

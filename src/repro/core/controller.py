@@ -82,7 +82,7 @@ class RenaissanceController:
         non-memory-adaptive variant of Section 8.1 turns this off)."""
         return True
 
-    def _rules_to_install(self, view: Topology, switch_reply: QueryReply) -> List[Rule]:
+    def _rules_to_install(self, view: Topology, switch_reply: QueryReply) -> Tuple[Rule, ...]:
         """Rules for one switch this round (the three-tag variant of
         Section 6.2 extends this with the previous round's rules)."""
         return self.rulegen.my_rules(view, switch_reply.node, self.curr_tag)
@@ -100,12 +100,9 @@ class RenaissanceController:
         new_round = self._maybe_start_round(neighbors)
         self.last_new_round = new_round
 
-        refer_tag, refer_view = self._reference_tag(neighbors)
-        updates = self._prepare_switch_updates(refer_tag, refer_view, new_round, neighbors)
+        refer_tag, refer_view, fusion_view, prev_view = self._reference_tag(neighbors)
+        updates = self._prepare_switch_updates(refer_tag, refer_view, new_round, prev_view)
 
-        fusion_view = build_view(
-            self.cid, neighbors, self.replydb.fusion(self.curr_tag, self.prev_tag)
-        )
         reachable = set(fusion_view.bfs_layers(self.cid))
         reachable.discard(self.cid)
 
@@ -189,8 +186,10 @@ class RenaissanceController:
         return observed
 
     # line 13
-    def _reference_tag(self, neighbors: Sequence[str]) -> Tuple[Tag, Topology]:
-        """During legal executions the reference is the completed previous
+    def _reference_tag(self, neighbors: Sequence[str]) -> Tuple[Tag, Topology, Topology, Topology]:
+        """``(referTag, its view, the fusion view, the prevTag view)``.
+
+        During legal executions the reference is the completed previous
         round; while the discovered topology is still changing it is the
         *current* round's fresh replies — ``G(res(currTag))``, not the
         fusion, which can still carry a stale reply from a node that died
@@ -219,7 +218,7 @@ class RenaissanceController:
         )
         prev_view = build_view(self.cid, neighbors, self.replydb.res(self.prev_tag))
         if self._same_graph(fusion_view, prev_view):
-            return self.prev_tag, prev_view
+            return self.prev_tag, prev_view, fusion_view, prev_view
         if self.config.robust_views:
             refer_view = build_view(
                 self.cid, neighbors, self._corroborated_fusion(neighbors)
@@ -228,7 +227,7 @@ class RenaissanceController:
             refer_view = build_view(
                 self.cid, neighbors, self.replydb.res(self.curr_tag)
             )
-        return self.curr_tag, refer_view
+        return self.curr_tag, refer_view, fusion_view, prev_view
 
     def _corroborated_fusion(self, neighbors: Sequence[str]) -> List[QueryReply]:
         """Current-round replies plus the previous-round fills that other
@@ -264,9 +263,8 @@ class RenaissanceController:
         refer_tag: Tag,
         refer_view: Topology,
         new_round: bool,
-        neighbors: Sequence[str],
+        prev_view: Topology,
     ) -> Dict[str, CommandBatch]:
-        prev_view = build_view(self.cid, neighbors, self.replydb.res(self.prev_tag))
         reachable_prev = set(prev_view.bfs_layers(self.cid))
 
         updates: Dict[str, CommandBatch] = {}

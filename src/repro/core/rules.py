@@ -14,7 +14,7 @@ unchanged view only re-tags the cached rules; no route is re-planned.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, Optional, Set, Tuple, Union
 
 from repro.net.topology import Topology, NodeKind
 from repro.flows.failover import PathSearch, plan_flow_rules, HopRule
@@ -77,26 +77,30 @@ class RuleGenerator:
         self.kappa = kappa
         self._cache_key: Optional[Tuple] = None
         self._cache_tag: Optional[Tag] = None
-        self._cache: Dict[str, List[Rule]] = {}
+        self._cache: Dict[str, Tuple[Rule, ...]] = {}
         self.computations = 0  # full route plans; re-tags do not count
 
-    def rules_for_view(self, view: Topology, tag: Tag) -> Dict[str, List[Rule]]:
+    def rules_for_view(self, view: Topology, tag: Tag) -> Dict[str, Tuple[Rule, ...]]:
         """Per-switch rules realizing κ-fault-resilient flows from the owner
         to every node reachable in ``view``, tagged ``tag``.  Deduplicated
         per switch: two flows may share a hop with the same (match,
         priority, action); the last one planned wins, in the position of
-        the first."""
+        the first.  A re-plan under an unchanged tag returns the previous
+        plan's object for every rule it planned again, so an unchanged
+        rule reaches the switch as the object the table already holds."""
         key = _view_signature(view)
         if key == self._cache_key:
             if tag != self._cache_tag:
                 self._cache = {
-                    sid: [_tagged(r.cid, r.sid, r, tag) for r in rules]
+                    sid: tuple([_tagged(r.cid, r.sid, r, tag) for r in rules])
                     for sid, rules in self._cache.items()
                 }
                 self._cache_tag = tag
             return self._cache
         self.computations += 1
-        per_switch: Dict[str, Dict[Tuple, Rule]] = {}
+        # Hops per switch, keyed like Rule.key(): with the owner fixed,
+        # hop[1:6] = (src, dst, forward_to, priority, detour) identifies it.
+        per_switch: Dict[str, Dict[Tuple, HopRule]] = {}
         if self.owner in view:
             switches = set(view.switches)
             search = PathSearch(view)
@@ -106,17 +110,22 @@ class RuleGenerator:
                 for hop in plan_flow_rules(view, self.owner, target, self.kappa, search):
                     if hop.switch not in switches:
                         continue  # controllers do not hold forwarding rules
-                    rule = _tagged(self.owner, hop.switch, hop, tag)
-                    per_switch.setdefault(hop.switch, {})[rule.key()] = rule
+                    per_switch.setdefault(hop.switch, {})[hop[1:6]] = hop
+        previous: Dict[Rule, Rule] = {}
+        if tag == self._cache_tag:
+            previous = {r: r for rules in self._cache.values() for r in rules}
         self._cache_key = key
         self._cache_tag = tag
-        self._cache = {sid: list(rules.values()) for sid, rules in per_switch.items()}
+        self._cache = {}
+        for sid, hops in per_switch.items():
+            rules = [_tagged(self.owner, sid, hop, tag) for hop in hops.values()]
+            self._cache[sid] = tuple([previous.get(r, r) for r in rules])
         return self._cache
 
-    def my_rules(self, view: Topology, switch: str, tag: Tag) -> List[Rule]:
+    def my_rules(self, view: Topology, switch: str, tag: Tag) -> Tuple[Rule, ...]:
         """The paper's ``myRules(G, j, tag)``: the owner's rules at one
         switch."""
-        return list(self.rules_for_view(view, tag).get(switch, ()))
+        return self.rules_for_view(view, tag).get(switch, ())
 
     def invalidate(self) -> None:
         self._cache_key = None

@@ -16,16 +16,14 @@ needed before tags are unique again — the bound the paper calls Δsynch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional, Set
+from typing import Iterable, NamedTuple, Optional, Set
 
 #: Paper's Δsynch: rounds for the tag/round-synchronization layer to
 #: stabilize after the last transient fault (a small constant in [20]).
 DELTA_SYNCH = 3
 
 
-@dataclass(frozen=True, order=True)
-class Tag:
+class Tag(NamedTuple):
     """A bounded-domain round tag, unique per owner during legal runs."""
 
     owner: str

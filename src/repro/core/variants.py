@@ -15,7 +15,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional, Tuple
 
 from repro.net.topology import Topology
 from repro.core.controller import RenaissanceController
@@ -59,17 +59,17 @@ class ThreeTagController(RenaissanceController):
     fresh rule, so the stable-state table is identical to Algorithm 2's.
     """
 
-    def _rules_to_install(self, view: Topology, switch_reply: QueryReply) -> List[Rule]:
+    def _rules_to_install(self, view: Topology, switch_reply: QueryReply) -> Tuple[Rule, ...]:
         fresh = self.rulegen.my_rules(view, switch_reply.node, self.curr_tag)
         fresh_keys = {rule.key() for rule in fresh}
-        retained = [
+        retained = tuple(
             rule
             for rule in switch_reply.rules
             if rule.cid == self.cid
             and not rule.is_meta
             and rule.tag == self.prev_tag
             and rule.key() not in fresh_keys
-        ]
+        )
         return fresh + retained
 
 

@@ -29,8 +29,7 @@ exchange the paper's flow definition requires.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.net.topology import Topology, NodeId
 
@@ -39,8 +38,7 @@ from repro.net.topology import Topology, NodeId
 PRIMARY_PRIORITY = 1_000
 
 
-@dataclass(frozen=True)
-class HopRule:
+class HopRule(NamedTuple):
     """One forwarding entry to install at ``switch``: matches header
     ``(src, dst)``, forwards to adjacent ``forward_to`` when that link is
     operational.  Larger ``priority`` wins.

@@ -133,10 +133,10 @@ class Span:
 
 
 def _jsonable(value: Any) -> Any:
-    """Fold a mark/arg value to a JSON-representable leaf."""
+    """Fold a mark/arg value to a JSON-representable leaf (named tuples by repr)."""
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value
-    if isinstance(value, (list, tuple)):
+    if type(value) in (list, tuple):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}

@@ -15,8 +15,8 @@ eviction — the property Lemma 1 relies on.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from operator import itemgetter
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 #: Priority reserved for round-synchronization meta-rules — the lowest.
 META_PRIORITY = 0
@@ -38,10 +38,10 @@ def _event_kind(rule: "Rule") -> int:
     return EVENT_START if rule.detour_start else EVENT_DETOUR
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     """One match-action entry.  ``forward_to is None`` encodes a meta-rule
-    (it matches nothing on the data path).
+    (it matches nothing on the data path).  Immutable, so the planner's
+    object itself travels through the command batch into the table.
 
     ``detour``/``detour_start`` implement tagged local fast failover: a
     packet whose primary out-link is down is stamped with the detour id at
@@ -71,6 +71,12 @@ class Rule:
         """Identity within one controller's rule set: match + priority +
         action (the tag is metadata, not identity)."""
         return (self.cid, self.src, self.dst, self.priority, self.forward_to, self.detour)
+
+
+#: ``Rule.key()`` and a key's action as C-level getters, for the per-rule
+#: work of ``replace_rules_of``.
+_rule_key = itemgetter(0, 2, 3, 4, 5, 7)
+_action = itemgetter(4)
 
 
 def _count(counts: Dict[str, int], cid: str, delta: int) -> None:
@@ -246,19 +252,22 @@ class FlowTable:
         rather than deleted and reinstalled, so an idempotent periodic
         update does not invalidate route caches.
         """
-        incoming = list(new_rules)
-        keys = []
+        incoming = tuple(new_rules)
         for rule in incoming:
             if rule.cid != cid:
                 raise ValueError(f"rule owned by {rule.cid} in update for {cid}")
             if rule.sid != self.sid:
                 raise ValueError(f"rule for switch {rule.sid} offered to {self.sid}")
-            keys.append(rule.key())
+        keys = list(map(_rule_key, incoming))
         keep = set(keys)
         rules = self._rules
         # Scan for stale rules only if the owner holds non-meta rules
-        # beyond those kept.
-        kept = sum(1 for key in keep if key in rules and not rules[key].is_meta)
+        # beyond those kept.  A kept key is a meta-rule's only if its
+        # action is None.
+        present = rules.keys() & keep
+        kept = len(present)
+        if None in map(_action, present):
+            kept = sum(1 for key in present if not rules[key].is_meta)
         if self._owner_counts.get(cid, 0) - self._meta_counts.get(cid, 0) > kept:
             for key in [
                 k
@@ -266,8 +275,20 @@ class FlowTable:
                 if r.cid == cid and not r.is_meta and k not in keep
             ]:
                 self._delete_key(key)
+        touched, clock, by_match = self._touched, self._clock, self._by_match
         for key, rule in zip(keys, incoming):
-            self._install(key, rule)
+            if rules.get(key) is not rule:
+                self._install(key, rule)
+                continue
+            # The stored object itself: ``_install``'s refresh, inline.
+            touched[key] = next(clock)
+            if rule.forward_to is not None or rule.priority != META_PRIORITY:
+                header = (rule.src, rule.dst)
+                bucket = by_match[header]
+                if bucket[-1] != key:
+                    bucket.remove(key)
+                    bucket.append(key)
+                    self._match_cache.pop(header, None)
 
     def delete_rules_of(self, cid: str, include_meta: bool = True) -> int:
         """The ``delAllRules`` command.  Returns the number removed."""
@@ -338,7 +359,7 @@ class FlowTable:
         """Transient-fault hook: plant arbitrary rules, bypassing ownership
         discipline but still respecting the memory bound."""
         for rule in rules:
-            self.install(replace(rule, sid=self.sid))
+            self.install(rule._replace(sid=self.sid))
 
 
 __all__ = [

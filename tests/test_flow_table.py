@@ -300,11 +300,24 @@ def test_fast_paths_match_reference_table(seed):
             chosen = rng.choice(pool)
             for table in tables:
                 table.install(chosen)
-        elif op < 0.85:
+        elif op < 0.7:
             cid = rng.choice(["c0", "c1"])
             batch = [r for r in pool if r.cid == cid and rng.random() < 0.5]
+            if rng.random() < 0.3:
+                batch = [r._replace() for r in batch]  # equal, not identical
             for table in tables:
                 table.replace_rules_of(cid, batch)
+        elif op < 0.85:
+            # Resubmit each table's own stored objects (identical refreshes),
+            # in shuffled order and mixed with pool rules.
+            cid = rng.choice(["c0", "c1"])
+            stored = len(tables[0].rules_of(cid))
+            picks = [i for i in range(stored) if rng.random() < 0.7]
+            rng.shuffle(picks)
+            extra = [r for r in pool if r.cid == cid and rng.random() < 0.2]
+            for table in tables:
+                own = table.rules_of(cid)
+                table.replace_rules_of(cid, [own[i] for i in picks] + extra)
         elif op < 0.95:
             planted = [_random_rule(rng) for _ in range(2)]
             for table in tables:
@@ -317,6 +330,9 @@ def test_fast_paths_match_reference_table(seed):
         fast, ref = tables
         assert fast.rules() == ref.rules()
         assert fast.version == ref.version and fast.evictions == ref.evictions
+        # Same clock values (so the same LRU victim) and bucket order.
+        assert fast._touched == ref._touched
+        assert fast._by_match == ref._by_match
         assert logs[0] == logs[1]
         assert fast.controllers_present() == ref.controllers_present()
         for src in ("c0", "c1"):

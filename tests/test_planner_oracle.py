@@ -7,7 +7,7 @@ detour, one full plan per (view, tag) — kept here only as a test oracle.
 Every view must give identical rules, in identical order, from both.
 """
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 import pytest
 
@@ -126,7 +126,7 @@ def _ref_plan_flow_rules(view, source, target, kappa) -> List[HopRule]:
     )
 
 
-def _ref_rules_for_view(owner, kappa, view, tag) -> Dict[str, List[Rule]]:
+def _ref_rules_for_view(owner, kappa, view, tag) -> Dict[str, Tuple[Rule, ...]]:
     """Full plan, then ``myRules``' per-switch key deduplication."""
     per_switch: Dict[str, Dict[tuple, Rule]] = {}
     for target in sorted(view.bfs_layers(owner)):
@@ -147,7 +147,7 @@ def _ref_rules_for_view(owner, kappa, view, tag) -> Dict[str, List[Rule]]:
                 detour_start=hop.detour_start,
             )
             per_switch.setdefault(hop.switch, {})[rule.key()] = rule
-    return {sid: list(rules.values()) for sid, rules in per_switch.items()}
+    return {sid: tuple(rules.values()) for sid, rules in per_switch.items()}
 
 
 # -- views -------------------------------------------------------------------------
